@@ -87,6 +87,19 @@ pub fn check(rs: &ResultSet, expect: &Expect) -> bool {
     }
 }
 
+/// Clock ticks per second, the unit of `/proc/<pid>/stat`'s times.
+fn clock_ticks_per_s() -> f64 {
+    extern "C" {
+        fn sysconf(name: std::ffi::c_int) -> std::ffi::c_long;
+    }
+    /// `_SC_CLK_TCK` on Linux.
+    const SC_CLK_TCK: std::ffi::c_int = 2;
+    // SAFETY: sysconf takes an int and reads no memory of ours.
+    let hz = unsafe { sysconf(SC_CLK_TCK) };
+    assert!(hz > 0, "sysconf(_SC_CLK_TCK) failed");
+    hz as f64
+}
+
 /// Process CPU time (user + system, every thread, exited ones included)
 /// in seconds, from `/proc/self/stat`.
 pub fn process_cpu_s() -> f64 {
@@ -94,9 +107,9 @@ pub fn process_cpu_s() -> f64 {
     // The command name may hold spaces; the fields resume after its ')'.
     let rest = &stat[stat.rfind(')').expect("stat has a comm field") + 2..];
     let fields: Vec<&str> = rest.split_whitespace().collect();
-    // utime and stime, fields 14 and 15 of the whole line, in 10 ms ticks.
+    // utime and stime, fields 14 and 15 of the whole line, in clock ticks.
     let ticks = |i: usize| fields[i].parse::<u64>().expect("utime/stime tick count");
-    (ticks(11) + ticks(12)) as f64 / 100.0
+    (ticks(11) + ticks(12)) as f64 / clock_ticks_per_s()
 }
 
 /// Peak resident set size (`VmHWM`) in MiB. Unlike `getrusage`'s

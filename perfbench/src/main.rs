@@ -44,6 +44,9 @@ pub trait Workload {
     fn setup(&self, dir: &Path) -> Ring;
     /// The timed statements, identical in every round.
     fn stream(&self) -> &[Stmt];
+    /// Wait, untimed, for the background work the stream started to
+    /// finish, so that every round ends in the same state.
+    fn settle(&self, _ring: &Ring) {}
     /// Untimed checks of the ring's state after the stream.
     fn final_checks(&self) -> &[Stmt];
     /// The dataset as loaded by `setup`, for the traced run's local
@@ -70,7 +73,13 @@ fn parse_args() -> Result<Args, String> {
             "--workload" => workload = Some(value),
             "--seed" => seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
             "--seconds" => seconds = value.parse().map_err(|e| format!("--seconds: {e}"))?,
-            "--trace" => trace = value != "0",
+            "--trace" => {
+                trace = match value.as_str() {
+                    "0" => false,
+                    "1" => true,
+                    _ => return Err(format!("--trace: expected 0 or 1, got {value:?}")),
+                }
+            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -179,6 +188,7 @@ fn end_to_end_round(w: &dyn Workload, dir: &Path, e2e: &mut EndToEnd, tally: &mu
     e2e.cpu_s += cpu;
     e2e.stmts += stream.len() as f64;
 
+    w.settle(&ring);
     final_checks(w, &ring, tally);
     teardown(ring, dir);
 }
@@ -228,7 +238,7 @@ fn main() {
             ("read_p90_ms".into(), percentile(&mut e2e.read_ms, 90.0), "ms"),
             ("write_p50_ms".into(), percentile(&mut e2e.write_ms, 50.0), "ms"),
             ("write_p90_ms".into(), percentile(&mut e2e.write_ms, 90.0), "ms"),
-            // Pooled over all rounds: CPU time is counted in 10 ms ticks.
+            // Pooled over all rounds: CPU time is counted in clock ticks.
             ("cpu_ms_per_stmt".into(), e2e.cpu_s * 1e3 / e2e.stmts, "ms"),
             ("peak_rss_mb".into(), peak_rss_mb(), "MiB"),
         ]

@@ -1,7 +1,7 @@
 //! `tpch`: TPC-H Q1, Q3 and Q6 in rotation over ~42k lineitem rows, with
 //! one table per node (customer → 0, orders → 1, lineitem → 2) so every
-//! join pulls fragments across the ring, plus a trickle of RF1-style
-//! order inserts. Per-statement work dwarfs fixed cost here: the
+//! join pulls fragments across the ring, plus RF1-style order inserts
+//! that are there only to give the write metrics samples. Per-statement work dwarfs fixed cost here: the
 //! kernels, the dataflow interpreter and ring pins of large fragments
 //! carry the time, while the three query texts always hit the template
 //! cache and the ring is memory-only (no WAL).
@@ -19,8 +19,10 @@ use std::time::Duration;
 /// `generate(100, seed)`: 3000 customers, 12000 orders, ~42k lineitems.
 const SCALE: f64 = 100.0;
 /// Repetitions per round of the eight-statement cycle Q1, Q3, Q6, RF1,
-/// Q1, Q3, Q6, RF1. The inserts are a quarter of the statements but a
-/// few percent of the time; there are enough of them for a write p90.
+/// Q1, Q3, Q6, RF1. The inserts exist only so that the write latency
+/// metrics have samples on this workload; they are a quarter of the
+/// statements but a few percent of the time, and the one-in-four ratio
+/// is a choice, not TPC-H's refresh rate.
 const CYCLES: usize = 8;
 
 pub struct Tpch {

@@ -251,6 +251,7 @@ pub fn traced_round(w: &dyn Workload, dir: &Path, layers: &mut Layers, tally: &m
         }
     }
     layers.traced_wall_s += t_round.elapsed().as_secs_f64();
+    w.settle(&ring);
     let after = Probe::take(&ring);
     final_checks(w, &ring, tally);
     teardown(ring, dir);
