@@ -19,13 +19,10 @@
 use crate::catalog::OwnedState;
 use crate::config::{DataDir, DcConfig};
 use crate::error::DcError;
-use crate::hotset::{
-    spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot, ReadmitTracker, SpillQueue,
-};
+use crate::hotset::{spill_victims, HotsetAccounting, HotsetRow, HotsetSnapshot, SpillQueue};
 use crate::ids::{BatId, NodeId, QueryId};
 use crate::msg::{
-    AppendMsg, CatalogCol, CatalogMsg, DcMsg, EvictMsg, MutAckMsg, MutOp, MutateMsg, ReadmitAckMsg,
-    ReadmitMsg,
+    AppendMsg, CatalogCol, CatalogMsg, DcMsg, EvictMsg, MutAckMsg, MutOp, MutateMsg, ReadmitMsg,
 };
 use crate::proto::{DcNode, Effect, PinOutcome};
 use crate::runtime::{CatalogNotify, Cmd, FragInfo, RingCatalog, RingHooks, Waiter};
@@ -41,6 +38,7 @@ use mal::{MalError, SessionCtx};
 use netsim::SimTime;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -229,6 +227,41 @@ impl PayloadSlot {
     }
 }
 
+/// A routed statement's identity: `(origin, origin boot epoch,
+/// statement id)` — the owner-side dedup key and what an ack echoes.
+type StmtKey = (NodeId, u64, u64);
+
+/// The kind of a routed statement, as its origin tracks it: it names the
+/// statement in traces and errors, picks the failure counter a failure
+/// bumps, and says how a successful readmit settles.
+enum Routed {
+    Append { table: String },
+    Mutation { table: String },
+    Readmit(BatId),
+}
+
+impl Routed {
+    /// Count a failed statement. A dead readmit is not a failed write
+    /// (nothing durable failed), so it bumps no failure counter.
+    fn count_failure(&self, stats: &mut NodeStats) {
+        match self {
+            Routed::Append { .. } => stats.appends_failed += 1,
+            Routed::Mutation { .. } => stats.mutations_failed += 1,
+            Routed::Readmit(_) => {}
+        }
+    }
+}
+
+impl fmt::Display for Routed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Routed::Append { table } => write!(f, "append on {table}"),
+            Routed::Mutation { table } => write!(f, "mutation on {table}"),
+            Routed::Readmit(bat) => write!(f, "readmit on {bat}"),
+        }
+    }
+}
+
 /// One routed statement awaiting its owner acknowledgement at the
 /// origin, with everything needed to resend it and to fail it loudly.
 struct PendingOp {
@@ -242,9 +275,7 @@ struct PendingOp {
     backoff: Duration,
     retries_left: u32,
     attempts: u32,
-    /// "mutation" or "append" — for stats attribution and the error.
-    what: &'static str,
-    table: String,
+    what: Routed,
 }
 
 /// Entries the owner-side dedup cache retains. Old entries only matter
@@ -269,12 +300,12 @@ fn fresh_boot_epoch() -> u64 {
 }
 
 /// What became of a SQL `INSERT` batch at this node: applied in place, or
-/// packaged as a ring message the caller must register for ack-tracking.
+/// packaged for the caller to route to the owner with ack-tracking.
 enum AppendOutcome {
     /// Locally owned — the batch is durable; carries the row count.
     Applied(u64),
-    /// Foreign owner — route `msg` clockwise under statement id `id`.
-    Routed { id: u64, msg: DcMsg, table: String },
+    /// Foreign owner — the serialized parts of one [`AppendMsg`].
+    Routed { parts: Vec<(BatId, Bytes)>, table: String },
 }
 
 struct NodeCtx {
@@ -297,32 +328,33 @@ struct NodeCtx {
     /// ring members never collide.
     next_frag: Arc<AtomicU32>,
     /// Statements this node originated that are traveling the ring
-    /// toward a remote owner (`Mutate`/`Append`), keyed by origin-local
-    /// statement id. The owner's [`MutAckMsg`] (or the message cycling
-    /// back unowned) resolves them; entries whose ack never comes are
-    /// re-sent on a backoff schedule and failed loudly once the retry
-    /// budget is spent — see [`NodeCtx::service_pending`].
+    /// toward a remote owner (`Append`/`Mutate`/`Readmit`), keyed by
+    /// origin-local statement id. The owner's [`MutAckMsg`] (or the
+    /// message cycling back unowned) resolves them; entries whose ack
+    /// never comes are re-sent on a backoff schedule and failed loudly
+    /// once the retry budget is spent — see [`NodeCtx::service_pending`].
     pending_ops: HashMap<u64, PendingOp>,
-    next_mut: u64,
+    /// The next statement id [`NodeCtx::route_op`] hands out.
+    next_stmt: u64,
     /// This incarnation's statement-id epoch (see [`fresh_boot_epoch`]):
-    /// stamped on every routed `Mutate`/`Append`, echoed in acks, and
-    /// part of the owner-side dedup key.
+    /// stamped on every routed statement, echoed in acks, and part of
+    /// the owner-side dedup key.
     boot_epoch: u64,
     /// How long one attempt waits for the owner's ack before resending.
     ack_timeout: Duration,
     /// Resends after the first attempt before the statement fails.
     ack_retries: u32,
     /// Owner-side idempotence: results of routed statements already
-    /// applied here, keyed `(origin, origin boot epoch, statement id)`.
+    /// applied here, keyed by [`StmtKey`].
     /// A re-delivered frame (duplicate, origin retry racing a slow ack)
     /// re-sends the cached ack instead of re-applying — on top of the
     /// §6.4 version gate, which protects replay but not live
     /// double-apply. The epoch keeps a restarted origin's reused
     /// statement ids from aliasing entries its prior incarnation left
     /// behind.
-    applied_ops: HashMap<(u16, u64, u64), Result<u64, String>>,
+    applied_ops: HashMap<StmtKey, Result<u64, String>>,
     /// FIFO of `applied_ops` keys, oldest first, bounding the cache.
-    applied_order: std::collections::VecDeque<(u16, u64, u64)>,
+    applied_order: std::collections::VecDeque<StmtKey>,
     /// Wakes `wait_for_table` callers when catalog state changes.
     notify: Arc<CatalogNotify>,
     /// Durable storage, when the node has a data dir.
@@ -332,15 +364,13 @@ struct NodeCtx {
     obs: Arc<dc_obs::Registry>,
     /// Per-[`DcMsg`]-kind handling-latency histograms, indexed by
     /// [`msg_kind`] so the hot loop never does a name lookup.
-    msg_hists: [Arc<dc_obs::Histogram>; 9],
+    msg_hists: [Arc<dc_obs::Histogram>; 8],
     /// Residency accounting against the node's memory budget: which
     /// owned fragments hold RAM, which are spilled to disk.
     hotset: HotsetAccounting,
     /// Cold fragments queued for the two-phase "checkpoint, then drop"
     /// spill.
     spill_queue: SpillQueue,
-    /// In-flight `Readmit` requests this node originated.
-    readmits: ReadmitTracker,
     /// Fragments other ring members announced as spilled ([`EvictMsg`]):
     /// a pin that must-waits on one of these routes a `Readmit` instead
     /// of waiting for a circulation that will never come.
@@ -367,13 +397,12 @@ fn msg_kind(msg: &DcMsg) -> usize {
         DcMsg::MutAck(_) => 5,
         DcMsg::Evict(_) => 6,
         DcMsg::Readmit(_) => 7,
-        DcMsg::ReadmitAck(_) => 8,
     }
 }
 
 /// The histogram names backing [`NodeCtx::msg_hists`], in [`msg_kind`]
 /// order.
-const MSG_HIST_NAMES: [&str; 9] = [
+const MSG_HIST_NAMES: [&str; 8] = [
     "dc_msg_bat_handle_us",
     "dc_msg_request_handle_us",
     "dc_msg_catalog_handle_us",
@@ -382,7 +411,6 @@ const MSG_HIST_NAMES: [&str; 9] = [
     "dc_msg_mutack_handle_us",
     "dc_msg_evict_handle_us",
     "dc_msg_readmit_handle_us",
-    "dc_msg_readmitack_handle_us",
 ];
 
 /// Which end-to-end latency histogram a SQL statement lands in, by its
@@ -470,7 +498,7 @@ impl NodeCtx {
                     self.boot_epoch,
                     id,
                     "retry",
-                    format!("{} on {}, attempt {}", p.what, p.table, p.attempts),
+                    format!("{}, attempt {}", p.what, p.attempts),
                 );
                 // A failing resend (edge still severed) is fine: the
                 // next deadline fires again, and the budget bounds it.
@@ -482,40 +510,36 @@ impl NodeCtx {
                     self.boot_epoch,
                     id,
                     "timeout",
-                    format!("{} on {} after {} attempts", p.what, p.table, p.attempts),
+                    format!("{} after {} attempts", p.what, p.attempts),
                 );
-                match p.what {
-                    "mutation" => self.node.stats.mutations_failed += 1,
-                    // A dead readmit is not a failed write: clear the
-                    // in-flight marker so a later pin can route a fresh
-                    // one, and leave the blocked pin to the Fig. 3
-                    // timeout-resend fallback.
-                    "readmit" => {
-                        self.readmits.complete(id);
-                    }
-                    _ => self.node.stats.appends_failed += 1,
-                }
+                // A dead readmit leaves the pending table, so a later pin
+                // can route a fresh one; its blocked pin falls back to
+                // the Fig. 3 timeout-resend.
+                p.what.count_failure(&mut self.node.stats);
                 p.ack.fulfill(Err(format!(
-                    "{} on {} timed out after {} attempts: no acknowledgement from the \
+                    "{} timed out after {} attempts: no acknowledgement from the \
                      fragment owner within the retry budget; whether it applied is unknown",
-                    p.what, p.table, p.attempts
+                    p.what, p.attempts
                 )));
             }
         }
     }
 
-    /// Send a routed statement's first attempt and register it for
-    /// ack-tracking. A failed first send (severed edge) is absorbed: the
-    /// retry schedule re-sends it, and the budget bounds the wait.
+    /// Allocate a routed statement's id, send its first attempt, and
+    /// register it for ack-tracking. `build` stamps the statement's
+    /// [`StmtKey`] into the message. A failed first send (severed edge)
+    /// is absorbed: the retry schedule re-sends it, and the budget
+    /// bounds the wait.
     fn route_op(
         &mut self,
-        id: u64,
-        msg: DcMsg,
+        what: Routed,
         ack: Arc<Waiter<u64>>,
-        what: &'static str,
-        table: String,
+        build: impl FnOnce(StmtKey) -> DcMsg,
     ) {
-        self.obs.trace(self.boot_epoch, id, "route", format!("{what} on {table}"));
+        let id = self.next_stmt;
+        self.next_stmt += 1;
+        let msg = build((self.node.id, self.boot_epoch, id));
+        self.obs.trace(self.boot_epoch, id, "route", what.to_string());
         let _ = self.transport.send_data(msg.clone());
         self.pending_ops.insert(
             id,
@@ -527,13 +551,12 @@ impl NodeCtx {
                 retries_left: self.ack_retries,
                 attempts: 1,
                 what,
-                table,
             },
         );
     }
 
     /// Record a routed statement's result in the owner-side dedup cache.
-    fn remember_applied(&mut self, key: (u16, u64, u64), result: Result<u64, String>) {
+    fn remember_applied(&mut self, key: StmtKey, result: Result<u64, String>) {
         if self.applied_order.len() >= APPLIED_CACHE_CAP {
             if let Some(old) = self.applied_order.pop_front() {
                 self.applied_ops.remove(&old);
@@ -543,16 +566,42 @@ impl NodeCtx {
         self.applied_ops.insert(key, result);
     }
 
-    /// Deliver a routed statement's result to its origin: resolved
-    /// locally when ownership moved to us mid-flight, otherwise as a
-    /// [`MutAckMsg`] clockwise. A lost ack is counted loudly, but the
+    /// Owner side of every routed statement: a re-delivered one (origin
+    /// retry, fabric duplicate) replays its cached result, anything else
+    /// is applied once and its result remembered; then the origin gets
+    /// the result as a [`MutAckMsg`] clockwise (or directly, when
+    /// ownership moved to the origin mid-flight). `what` names the
+    /// statement in the trace. A lost ack is counted loudly, but the
     /// origin's retry will re-deliver the statement and the dedup cache
     /// will re-send this result.
-    fn answer_routed(&mut self, origin: NodeId, epoch: u64, id: u64, result: Result<u64, String>) {
+    fn serve_routed(
+        &mut self,
+        key: StmtKey,
+        what: &str,
+        apply: impl FnOnce(&mut Self) -> Result<u64, String>,
+    ) {
+        let (origin, epoch, id) = key;
+        let result = match self.applied_ops.get(&key) {
+            Some(cached) => {
+                self.node.stats.mutations_deduped += 1;
+                self.obs.trace(epoch, id, "dedup", format!("{what} re-delivered"));
+                cached.clone()
+            }
+            None => {
+                let r = apply(self);
+                let outcome = match &r {
+                    Ok(rows) => format!("{what}, {rows} rows"),
+                    Err(e) => format!("{what} failed: {e}"),
+                };
+                self.obs.trace(epoch, id, "apply", outcome);
+                self.remember_applied(key, r.clone());
+                r
+            }
+        };
         self.obs.trace(epoch, id, "ack_sent", format!("to {origin}"));
         let ack = MutAckMsg { target: origin, epoch, id, result };
         if origin == self.node.id {
-            self.finish_mutation(ack);
+            self.finish_routed(ack);
         } else if let Err(e) = self.transport.send_data(DcMsg::MutAck(ack)) {
             self.node.stats.mutation_acks_lost += 1;
             eprintln!(
@@ -560,6 +609,29 @@ impl NodeCtx {
                 self.node.id, id
             );
         }
+    }
+
+    /// A routed statement this node does not own: pass it on clockwise,
+    /// or — back at its origin without finding an owner, the §4.2.3
+    /// analog of a request circling back — fail it loudly.
+    fn forward_routed(&mut self, key: StmtKey, msg: DcMsg) {
+        let (origin, epoch, id) = key;
+        if origin != self.node.id {
+            let _ = self.transport.send_data(msg);
+            return;
+        }
+        let err = match &msg {
+            DcMsg::Append(_) => {
+                self.node.stats.appends_dropped += 1;
+                "no owner found for the append (fragments gone?)".to_string()
+            }
+            DcMsg::Mutate(m) => {
+                format!("no owner found for {}.{} (fragments gone?)", m.schema, m.table)
+            }
+            DcMsg::Readmit(r) => format!("no owner found for {} re-admission", r.bat),
+            _ => unreachable!("only routed statements are forwarded"),
+        };
+        self.finish_routed(MutAckMsg { target: origin, epoch, id, result: Err(err) });
     }
 
     /// Append a durable mutation to the WAL (ahead of applying it); a
@@ -673,109 +745,28 @@ impl NodeCtx {
                 // sender), so one membership test routes the whole
                 // message and the owner applies it atomically in this
                 // single event.
+                let key = (a.origin, a.epoch, a.id);
                 if a.parts.iter().any(|(bat, _)| self.node.s1.is_owner(*bat)) {
-                    // Retried appends re-deliver the same statement id;
-                    // the dedup cache replays the first outcome instead
-                    // of growing the fragment twice.
-                    let key = (a.origin.0, a.epoch, a.id);
-                    let result = match self.applied_ops.get(&key) {
-                        Some(cached) => {
-                            self.node.stats.mutations_deduped += 1;
-                            self.obs.trace(
-                                a.epoch,
-                                a.id,
-                                "dedup",
-                                format!("append from {} re-delivered", a.origin),
-                            );
-                            cached.clone()
-                        }
-                        None => {
-                            let r = self.apply_remote_append(&a);
-                            self.obs.trace(
-                                a.epoch,
-                                a.id,
-                                "apply",
-                                match &r {
-                                    Ok(rows) => format!("append from {}, {rows} rows", a.origin),
-                                    Err(e) => format!("append from {} failed: {e}", a.origin),
-                                },
-                            );
-                            self.remember_applied(key, r.clone());
-                            r
-                        }
-                    };
-                    self.answer_routed(a.origin, a.epoch, a.id, result);
-                } else if a.origin != self.node.id {
-                    let _ = self.transport.send_data(DcMsg::Append(a));
+                    let what = format!("append from {}", a.origin);
+                    self.serve_routed(key, &what, |n| n.apply_remote_append(&a));
                 } else {
-                    // Back at the origin without finding an owner: the
-                    // fragment is gone (the §4.2.3 analog of a request
-                    // circling back); fail the blocked INSERT loudly.
-                    self.node.stats.appends_dropped += 1;
-                    self.finish_mutation(MutAckMsg {
-                        target: a.origin,
-                        epoch: a.epoch,
-                        id: a.id,
-                        result: Err("no owner found for the append (fragments gone?)".into()),
-                    });
+                    self.forward_routed(key, DcMsg::Append(a));
                 }
             }
-            DcMsg::Mutate(m) => match self.mutation_owner(&m.schema, &m.table) {
-                Ok(owner) if owner == self.node.id => {
-                    // Same dedup as appends: a re-delivered UPDATE must
-                    // not re-apply on top of its own first application.
-                    let key = (m.origin.0, m.epoch, m.id);
-                    let result = match self.applied_ops.get(&key) {
-                        Some(cached) => {
-                            self.node.stats.mutations_deduped += 1;
-                            self.obs.trace(
-                                m.epoch,
-                                m.id,
-                                "dedup",
-                                format!("mutation on {}.{} re-delivered", m.schema, m.table),
-                            );
-                            cached.clone()
-                        }
-                        None => {
-                            let r = self.apply_mutation(&m.schema, &m.table, &m.op, &m.preds);
-                            self.obs.trace(
-                                m.epoch,
-                                m.id,
-                                "apply",
-                                match &r {
-                                    Ok(rows) => {
-                                        format!("mutation on {}.{}, {rows} rows", m.schema, m.table)
-                                    }
-                                    Err(e) => {
-                                        format!("mutation on {}.{} failed: {e}", m.schema, m.table)
-                                    }
-                                },
-                            );
-                            self.remember_applied(key, r.clone());
-                            r
-                        }
-                    };
-                    self.answer_routed(m.origin, m.epoch, m.id, result);
-                }
-                _ if m.origin == self.node.id => {
-                    // Cycled the whole ring without finding an owner.
-                    self.finish_mutation(MutAckMsg {
-                        target: m.origin,
-                        epoch: m.epoch,
-                        id: m.id,
-                        result: Err(format!(
-                            "no owner found for {}.{} (fragments gone?)",
-                            m.schema, m.table
-                        )),
+            DcMsg::Mutate(m) => {
+                let key = (m.origin, m.epoch, m.id);
+                if self.mutation_owner(&m.schema, &m.table) == Ok(self.node.id) {
+                    let what = format!("mutation on {}.{}", m.schema, m.table);
+                    self.serve_routed(key, &what, |n| {
+                        n.apply_mutation(&m.schema, &m.table, &m.op, &m.preds)
                     });
+                } else {
+                    self.forward_routed(key, DcMsg::Mutate(m));
                 }
-                _ => {
-                    let _ = self.transport.send_data(DcMsg::Mutate(m));
-                }
-            },
+            }
             DcMsg::MutAck(a) => {
                 if a.target == self.node.id {
-                    self.finish_mutation(a);
+                    self.finish_routed(a);
                 } else {
                     let _ = self.transport.send_data(DcMsg::MutAck(a));
                 }
@@ -797,130 +788,44 @@ impl NodeCtx {
                 let _ = self.transport.send_data(DcMsg::Evict(e));
             }
             DcMsg::Readmit(r) => {
+                let key = (r.origin, r.epoch, r.id);
                 if self.node.s1.is_owner(r.bat) {
-                    // Retried readmits re-deliver the same statement id;
-                    // the dedup cache guarantees at most one reload and
-                    // re-injection per routed request.
-                    let key = (r.origin.0, r.epoch, r.id);
-                    let result = match self.applied_ops.get(&key) {
-                        Some(cached) => {
-                            self.node.stats.mutations_deduped += 1;
-                            self.obs.trace(
-                                r.epoch,
-                                r.id,
-                                "dedup",
-                                format!("readmit of {} from {} re-delivered", r.bat, r.origin),
-                            );
-                            cached.clone()
-                        }
-                        None => {
-                            let res = self.admit_fragment(r.bat);
-                            self.obs.trace(
-                                r.epoch,
-                                r.id,
-                                "apply",
-                                match &res {
-                                    Ok(_) => format!("readmit of {} from {}", r.bat, r.origin),
-                                    Err(e) => format!(
-                                        "readmit of {} from {} failed: {e}",
-                                        r.bat, r.origin
-                                    ),
-                                },
-                            );
-                            self.remember_applied(key, res.clone());
-                            res
-                        }
-                    };
-                    self.finish_readmit_answer(r.origin, r.epoch, r.id, r.bat, result);
-                } else if r.origin != self.node.id {
-                    let _ = self.transport.send_data(DcMsg::Readmit(r));
+                    let what = format!("readmit of {} from {}", r.bat, r.origin);
+                    self.serve_routed(key, &what, |n| n.admit_fragment(r.bat));
                 } else {
-                    // Cycled the whole ring without finding an owner.
-                    self.finish_readmit(ReadmitAckMsg {
-                        target: r.origin,
-                        epoch: r.epoch,
-                        id: r.id,
-                        result: Err(format!("no owner found for {} re-admission", r.bat)),
-                    });
-                }
-            }
-            DcMsg::ReadmitAck(a) => {
-                if a.target == self.node.id {
-                    self.finish_readmit(a);
-                } else {
-                    let _ = self.transport.send_data(DcMsg::ReadmitAck(a));
+                    self.forward_routed(key, DcMsg::Readmit(r));
                 }
             }
         }
     }
 
     /// Resolve a routed statement's acknowledgement to the caller blocked
-    /// on it. Acks from a previous incarnation of this node (epoch
-    /// mismatch — still circulating from before a restart) and unmatched
-    /// ids are ignored without side effects — the waiter already timed
-    /// out, or a duplicate ack arrived for a statement we settled on an
-    /// earlier delivery (counting failures there would double-book them).
-    fn finish_mutation(&mut self, ack: MutAckMsg) {
+    /// on it; a successful readmit also clears the fragment's spilled
+    /// mark, so its circulating copy, not the Evict announcement, now
+    /// governs pin behavior. Acks from a previous incarnation of this
+    /// node (epoch mismatch — still circulating from before a restart)
+    /// and unmatched ids are ignored without side effects — the waiter
+    /// already timed out, or a duplicate ack arrived for a statement we
+    /// settled on an earlier delivery (counting failures there would
+    /// double-book them).
+    fn finish_routed(&mut self, ack: MutAckMsg) {
         if ack.epoch != self.boot_epoch {
             return;
         }
-        if let Some(p) = self.pending_ops.remove(&ack.id) {
-            let outcome = match &ack.result {
-                Ok(rows) => format!("{} on {} ok, {rows} rows", p.what, p.table),
-                Err(e) => format!("{} on {} failed: {e}", p.what, p.table),
-            };
-            self.obs.trace(ack.epoch, ack.id, "ack", outcome);
-            if ack.result.is_err() {
-                match p.what {
-                    "mutation" => self.node.stats.mutations_failed += 1,
-                    "readmit" => {} // not a write; nothing durable failed
-                    _ => self.node.stats.appends_failed += 1,
-                }
+        let Some(p) = self.pending_ops.remove(&ack.id) else { return };
+        let outcome = match &ack.result {
+            Ok(rows) => format!("{} ok, {rows} rows", p.what),
+            Err(e) => format!("{} failed: {e}", p.what),
+        };
+        self.obs.trace(ack.epoch, ack.id, "ack", outcome);
+        match (&p.what, &ack.result) {
+            (what, Err(_)) => what.count_failure(&mut self.node.stats),
+            (Routed::Readmit(bat), Ok(_)) => {
+                self.remote_spilled.remove(bat);
             }
-            p.ack.fulfill(ack.result);
+            _ => {}
         }
-    }
-
-    /// Deliver a readmit's result to its origin: resolved locally when we
-    /// are the origin, otherwise as a [`ReadmitAckMsg`] clockwise. A lost
-    /// ack is counted; the origin's retry re-delivers the `Readmit` and
-    /// the dedup cache re-sends this result.
-    fn finish_readmit_answer(
-        &mut self,
-        origin: NodeId,
-        epoch: u64,
-        id: u64,
-        bat: BatId,
-        result: Result<u64, String>,
-    ) {
-        self.obs.trace(epoch, id, "ack_sent", format!("readmit of {bat} to {origin}"));
-        let ack = ReadmitAckMsg { target: origin, epoch, id, result };
-        if origin == self.node.id {
-            self.finish_readmit(ack);
-        } else if let Err(e) = self.transport.send_data(DcMsg::ReadmitAck(ack)) {
-            self.node.stats.mutation_acks_lost += 1;
-            eprintln!(
-                "[dc-node {}] readmit {} applied but its ack could not be sent: {e}",
-                self.node.id, id
-            );
-        }
-    }
-
-    /// Resolve a readmit acknowledgement at its origin: clear the
-    /// in-flight tracker (so the fragment's circulating copy, not the
-    /// Evict announcement, now governs pin behavior) and settle the
-    /// routed statement like any other ack.
-    fn finish_readmit(&mut self, ack: ReadmitAckMsg) {
-        if ack.epoch != self.boot_epoch {
-            return;
-        }
-        if let Some(bat) = self.readmits.complete(ack.id) {
-            if ack.result.is_ok() {
-                self.remote_spilled.remove(&bat);
-            }
-        }
-        let ReadmitAckMsg { target, epoch, id, result } = ack;
-        self.finish_mutation(MutAckMsg { target, epoch, id, result });
+        p.ack.fulfill(ack.result);
     }
 
     /// Owner-side handling of a routed `Readmit`: make the fragment
@@ -1074,19 +979,17 @@ impl NodeCtx {
     /// somewhere on the ring, route a `Readmit` to its owner instead of
     /// waiting for a circulation that will never come on its own.
     fn maybe_route_readmit(&mut self, bat: BatId) {
-        if !self.remote_spilled.contains(&bat) || self.readmits.is_pending(bat) {
+        let in_flight =
+            || self.pending_ops.values().any(|p| matches!(p.what, Routed::Readmit(b) if b == bat));
+        if !self.remote_spilled.contains(&bat) || in_flight() {
             return;
         }
-        let id = self.next_mut;
-        self.next_mut += 1;
-        self.readmits.begin(bat, id);
         self.node.stats.readmits_routed += 1;
         // Nothing blocks on this waiter — the pin already waits on S3 —
         // but route_op needs one for its timeout bookkeeping.
-        let ack = Arc::new(Waiter::default());
-        let msg =
-            DcMsg::Readmit(ReadmitMsg { origin: self.node.id, epoch: self.boot_epoch, id, bat });
-        self.route_op(id, msg, ack, "readmit", format!("{bat}"));
+        self.route_op(Routed::Readmit(bat), Arc::new(Waiter::default()), |(origin, epoch, id)| {
+            DcMsg::Readmit(ReadmitMsg { origin, epoch, id, bat })
+        });
     }
 
     /// Push the hot-set residency totals and LOIT level into the node's
@@ -1309,8 +1212,10 @@ impl NodeCtx {
             Cmd::Append { schema, table, cols, ack } => {
                 match self.append_table(&schema, &table, &cols) {
                     Ok(AppendOutcome::Applied(rows)) => ack.fulfill(Ok(rows)),
-                    Ok(AppendOutcome::Routed { id, msg, table }) => {
-                        self.route_op(id, msg, ack, "append", table);
+                    Ok(AppendOutcome::Routed { parts, table }) => {
+                        self.route_op(Routed::Append { table }, ack, |(origin, epoch, id)| {
+                            DcMsg::Append(AppendMsg { origin, epoch, id, parts })
+                        });
                     }
                     Err(e) => ack.fulfill(Err(e)),
                 }
@@ -1329,20 +1234,19 @@ impl NodeCtx {
                         if let Err(e) = mutation_fits_wire(&op, &preds) {
                             ack.fulfill(Err(e));
                         } else {
-                            let id = self.next_mut;
-                            self.next_mut += 1;
-                            let table_str = format!("{schema}.{table}");
-                            let msg = MutateMsg {
-                                origin: self.node.id,
-                                epoch: self.boot_epoch,
-                                id,
-                                schema,
-                                table,
-                                op,
-                                preds,
-                            };
                             self.node.stats.mutations_routed += 1;
-                            self.route_op(id, DcMsg::Mutate(msg), ack, "mutation", table_str);
+                            let what = Routed::Mutation { table: format!("{schema}.{table}") };
+                            self.route_op(what, ack, |(origin, epoch, id)| {
+                                DcMsg::Mutate(MutateMsg {
+                                    origin,
+                                    epoch,
+                                    id,
+                                    schema,
+                                    table,
+                                    op,
+                                    preds,
+                                })
+                            });
                         }
                     }
                 }
@@ -1422,10 +1326,10 @@ impl NodeCtx {
     }
 
     /// SQL `INSERT` at this node: locally-owned fragments are appended in
-    /// place ([`AppendOutcome::Applied`]); foreign ones produce a
-    /// [`AppendOutcome::Routed`] message for the caller to register with
-    /// [`NodeCtx::route_op`] — sending is deferred so the statement gets
-    /// the same timeout/retry protection as a routed UPDATE.
+    /// place ([`AppendOutcome::Applied`]); foreign ones produce
+    /// [`AppendOutcome::Routed`] parts for the caller to send with
+    /// [`NodeCtx::route_op`], so the statement gets the same
+    /// timeout/retry protection as a routed UPDATE.
     fn append_table(
         &mut self,
         schema: &str,
@@ -1481,15 +1385,7 @@ impl NodeCtx {
                     (info.bat, rows)
                 })
                 .collect();
-            let id = self.next_mut;
-            self.next_mut += 1;
-            let msg = DcMsg::Append(AppendMsg {
-                origin: self.node.id,
-                epoch: self.boot_epoch,
-                id,
-                parts,
-            });
-            Ok(AppendOutcome::Routed { id, msg, table: format!("{schema}.{table}") })
+            Ok(AppendOutcome::Routed { parts, table: format!("{schema}.{table}") })
         }
     }
 
@@ -2007,7 +1903,7 @@ impl RingNode {
             waiting: HashMap::new(),
             next_frag: Arc::clone(&next_frag),
             pending_ops: HashMap::new(),
-            next_mut: 1,
+            next_stmt: 1,
             boot_epoch: fresh_boot_epoch(),
             ack_timeout: opts.ack_timeout,
             ack_retries: opts.ack_retries,
@@ -2019,7 +1915,6 @@ impl RingNode {
             msg_hists: std::array::from_fn(|i| obs.histogram(MSG_HIST_NAMES[i])),
             hotset,
             spill_queue: SpillQueue::default(),
-            readmits: ReadmitTracker::default(),
             remote_spilled: HashSet::new(),
             spill_hist: obs.histogram("spill_us"),
             readmit_hist: obs.histogram("readmit_us"),
@@ -2637,9 +2532,8 @@ mod tests {
         let (plan, dc) =
             ring.explain_sql(1, "select c.t_id from t, c where c.t_id = t.id").unwrap();
         assert!(plan.contains("sql.bind"), "{plan}");
-        // The front-end plan carries the joinplan annotation but none of
-        // the DC rewrite (request/pin/unpin) — that is the optimizer's.
-        assert!(plan.contains("datacyclotron.joinplan"), "{plan}");
+        // The front-end plan carries none of the DC rewrite
+        // (request/pin/unpin) — that is the optimizer's.
         assert!(!plan.contains("datacyclotron.request"), "{plan}");
         assert!(!plan.contains("datacyclotron.pin"), "{plan}");
         assert!(dc.contains("datacyclotron.request"), "{dc}");

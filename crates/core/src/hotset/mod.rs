@@ -8,17 +8,17 @@
 //!   coldest-first victim selection against a per-node memory budget,
 //! * [`evict`] — the two-phase "checkpoint, then drop" spill queue
 //!   (the checkpoint `bats/<id>.bat` format *is* the at-rest format;
-//!   eviction never re-serializes),
-//! * [`readmit`] — origin-side tracking of on-demand re-admission
-//!   requests routed to fragment owners.
+//!   eviction never re-serializes).
+//!
+//! On-demand re-admission needs no module of its own: a `Readmit` is a
+//! routed statement like any `Append` or `Mutate`, tracked with them in
+//! the engine's pending-statement table.
 
 pub mod accounting;
 pub mod evict;
-pub mod readmit;
 
 pub use accounting::{spill_victims, HotsetAccounting, SpilledFrag};
 pub use evict::{PendingSpill, SpillQueue};
-pub use readmit::ReadmitTracker;
 
 use crate::ids::BatId;
 

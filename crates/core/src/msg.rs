@@ -145,8 +145,9 @@ pub struct MutateMsg {
     pub preds: Vec<RowPredicate>,
 }
 
-/// The owner's answer to a [`MutateMsg`], traveling clockwise until it
-/// reaches `target` (the mutation's origin). Echoes the statement's
+/// The owner's answer to any routed statement ([`MutateMsg`],
+/// [`AppendMsg`], [`ReadmitMsg`]), traveling clockwise until it reaches
+/// `target` (the statement's origin). Echoes the statement's
 /// `(epoch, id)`: an ack from before the origin's restart must not
 /// resolve a statement of its new incarnation that reuses the id.
 #[derive(Clone, Debug, PartialEq)]
@@ -155,7 +156,9 @@ pub struct MutAckMsg {
     /// The acknowledged statement's origin-boot epoch, echoed back.
     pub epoch: u64,
     pub id: u64,
-    /// Affected-row count, or the owner-side failure.
+    /// Affected-row count (for a readmit: `1` if this delivery
+    /// re-admitted the fragment, `0` if it was already in or entering
+    /// the ring), or the owner-side failure.
     pub result: Result<u64, String>,
 }
 
@@ -201,7 +204,7 @@ pub struct EvictMsg {
 /// circulation". `(epoch, id)` is origin-local (the same statement-id
 /// space as [`MutateMsg`]), so a retried Readmit deduplicates at the
 /// owner instead of double-injecting, and the owner answers with a
-/// [`ReadmitAckMsg`] carrying both. If the message returns to its origin
+/// [`MutAckMsg`] carrying both. If the message returns to its origin
 /// the owner is gone and the origin fails the pending operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadmitMsg {
@@ -210,20 +213,6 @@ pub struct ReadmitMsg {
     pub epoch: u64,
     pub id: u64,
     pub bat: BatId,
-}
-
-/// The owner's answer to a [`ReadmitMsg`], traveling clockwise until it
-/// reaches `target`. `Ok(1)` means the fragment was re-admitted by this
-/// delivery, `Ok(0)` that it was already in (or entering) the ring —
-/// either way the origin's pin resolves when the fragment flows past.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReadmitAckMsg {
-    pub target: NodeId,
-    /// The acknowledged demand's origin-boot epoch, echoed back.
-    pub epoch: u64,
-    pub id: u64,
-    /// Fragments re-admitted by this delivery, or the owner-side failure.
-    pub result: Result<u64, String>,
 }
 
 /// Everything that flows between neighbors.
@@ -240,14 +229,13 @@ pub enum DcMsg {
     Append(AppendMsg),
     /// Clockwise logical UPDATE/DELETE routed to the fragment owner.
     Mutate(MutateMsg),
-    /// Clockwise mutation acknowledgement routed back to the origin.
+    /// Clockwise acknowledgement of a routed `Append`, `Mutate` or
+    /// `Readmit`, routed back to the origin.
     MutAck(MutAckMsg),
     /// Clockwise circulate-once notice that the owner spilled a fragment.
     Evict(EvictMsg),
     /// Clockwise re-admission demand routed to a spilled fragment's owner.
     Readmit(ReadmitMsg),
-    /// Clockwise re-admission acknowledgement routed back to the origin.
-    ReadmitAck(ReadmitAckMsg),
 }
 
 fn val_wire_size(v: &Val) -> u64 {
@@ -292,9 +280,6 @@ impl DcMsg {
             DcMsg::MutAck(a) => 32 + a.result.as_ref().err().map(|e| e.len() as u64).unwrap_or(0),
             DcMsg::Evict(_) => 19,
             DcMsg::Readmit(_) => 23,
-            DcMsg::ReadmitAck(a) => {
-                32 + a.result.as_ref().err().map(|e| e.len() as u64).unwrap_or(0)
-            }
         }
     }
 }
@@ -307,7 +292,6 @@ const TAG_MUTATE: u8 = 5;
 const TAG_MUTACK: u8 = 6;
 const TAG_EVICT: u8 = 7;
 const TAG_READMIT: u8 = 8;
-const TAG_READMITACK: u8 = 9;
 
 const VAL_NIL: u8 = 0;
 const VAL_OID: u8 = 1;
@@ -609,24 +593,6 @@ pub fn encode(msg: &DcMsg) -> Bytes {
             b.put_u32_le(r.bat.0);
             b.freeze()
         }
-        DcMsg::ReadmitAck(a) => {
-            let mut b = BytesMut::with_capacity(msg.wire_size() as usize + 8);
-            b.put_u8(TAG_READMITACK);
-            b.put_u16_le(a.target.0);
-            b.put_u64_le(a.epoch);
-            b.put_u64_le(a.id);
-            match &a.result {
-                Ok(n) => {
-                    b.put_u8(1);
-                    b.put_u64_le(*n);
-                }
-                Err(e) => {
-                    b.put_u8(0);
-                    put_str(&mut b, e);
-                }
-            }
-            b.freeze()
-        }
     }
 }
 
@@ -805,24 +771,6 @@ pub fn decode(mut buf: &[u8]) -> Result<DcMsg, String> {
                 id: buf.get_u64_le(),
                 bat: BatId(buf.get_u32_le()),
             }))
-        }
-        TAG_READMITACK => {
-            if buf.remaining() < 19 {
-                return Err("truncated readmit ack".into());
-            }
-            let target = NodeId(buf.get_u16_le());
-            let epoch = buf.get_u64_le();
-            let id = buf.get_u64_le();
-            let result = match buf.get_u8() {
-                1 => {
-                    if buf.remaining() < 8 {
-                        return Err("truncated readmit ack count".into());
-                    }
-                    Ok(buf.get_u64_le())
-                }
-                _ => Err(get_str(&mut buf)?),
-            };
-            Ok(DcMsg::ReadmitAck(ReadmitAckMsg { target, epoch, id, result }))
         }
         other => Err(format!("unknown message tag {other}")),
     }
@@ -1066,21 +1014,12 @@ mod tests {
     }
 
     #[test]
-    fn readmit_ack_round_trip_both_outcomes() {
-        let ok =
-            DcMsg::ReadmitAck(ReadmitAckMsg { target: NodeId(1), epoch: 5, id: 9, result: Ok(1) });
-        assert_eq!(decode(&encode(&ok)).unwrap(), ok);
-        let err = DcMsg::ReadmitAck(ReadmitAckMsg {
-            target: NodeId(3),
-            epoch: 6,
-            id: 10,
-            result: Err("fragment not owned here".into()),
-        });
-        let enc = encode(&err);
-        assert_eq!(decode(&enc).unwrap(), err);
-        for cut in [1, 4, 11, 18, enc.len() - 1] {
-            assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
-        }
+    fn retired_readmit_ack_tag_is_unknown() {
+        // Readmits are acknowledged with MutAck; 9 names no message kind.
+        let ack = DcMsg::MutAck(MutAckMsg { target: NodeId(1), epoch: 5, id: 9, result: Ok(1) });
+        let mut frame = encode(&ack).to_vec();
+        frame[0] = 9;
+        assert_eq!(decode(&frame).unwrap_err(), "unknown message tag 9");
     }
 
     #[test]

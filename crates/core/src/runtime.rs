@@ -85,17 +85,6 @@ impl RingCatalog {
         })
     }
 
-    /// Distinct owner nodes across every published fragment — the live
-    /// estimate of the ring width `p` for the Beame et al. join-cost
-    /// rule (gossip is the only ring-membership signal a node has).
-    pub fn distinct_owners(&self) -> usize {
-        let cols = self.cols.read();
-        let mut owners: Vec<NodeId> = cols.values().map(|i| i.owner).collect();
-        owners.sort_unstable();
-        owners.dedup();
-        owners.len()
-    }
-
     /// How many of the given fragments each node owns (the data term of a
     /// §6.1 bid).
     pub fn owner_counts(&self, bats: &[BatId]) -> HashMap<NodeId, usize> {
@@ -331,58 +320,6 @@ impl DcHooks for RingHooks {
     fn unpin(&self, query: u64, ticket: u64) -> Result<(), MalError> {
         let bat = self.bat_of_ticket(ticket)?;
         self.send(Cmd::Unpin { query: QueryId(query), bat })
-    }
-
-    /// Classify one planned equi-join against the live ring state. The
-    /// compile-time strategy (from the metadata replica's row counts) is
-    /// re-derived from the gossiped fragment sizes when available —
-    /// replicas may compile before any data lands — and the join is
-    /// counted co-located (both sides owned here: no ring movement
-    /// needed) or routed (at least one side circulates in).
-    #[allow(clippy::too_many_arguments)]
-    fn join_plan(
-        &self,
-        _query: u64,
-        schema: &str,
-        ltab: &str,
-        lcol: &str,
-        rtab: &str,
-        rcol: &str,
-        strategy: &str,
-        est_bytes: u64,
-    ) -> Result<(), MalError> {
-        let l = self.catalog.lookup(schema, ltab, lcol);
-        let r = self.catalog.lookup(schema, rtab, rcol);
-        let (strategy, planned_bytes) = match (&l, &r) {
-            (Some(l), Some(r)) if l.size + r.size > 0 => {
-                // Beame/Koutris/Suciu: broadcast the smaller side
-                // (p·min(|R|,|S|) bytes) vs. hash-shuffle both sides
-                // (|R|+|S| bytes); pick the cheaper.
-                let p = self.catalog.distinct_owners().max(1) as u64;
-                let broadcast = p * l.size.min(r.size);
-                let shuffle = l.size + r.size;
-                if broadcast <= shuffle {
-                    ("broadcast", broadcast)
-                } else {
-                    ("shuffle", shuffle)
-                }
-            }
-            _ => (strategy, est_bytes),
-        };
-        let colocated = matches!((&l, &r),
-            (Some(l), Some(r)) if l.owner == self.node && r.owner == self.node);
-        self.obs
-            .counter(if colocated { "ring_joins_colocated" } else { "ring_joins_routed" })
-            .inc();
-        self.obs
-            .counter(if strategy == "broadcast" {
-                "ring_joins_broadcast"
-            } else {
-                "ring_joins_shuffle"
-            })
-            .inc();
-        self.obs.counter("ring_join_bytes_planned").add(planned_bytes);
-        Ok(())
     }
 
     fn create_table(

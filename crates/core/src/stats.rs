@@ -66,20 +66,23 @@ pub struct NodeStats {
     /// Routed mutations that failed: the message cycled back without
     /// finding an owner, or the owner rejected it.
     pub mutations_failed: u64,
-    /// Mutations this node applied (and made durable) whose
-    /// acknowledgement could not be sent back to the origin — the origin
-    /// times out and reports failure for a statement that succeeded.
+    /// Routed statements (mutations, appends and readmits) this node
+    /// served as owner whose acknowledgement could not be sent back to
+    /// the origin — the origin retries, and a mutation or append may
+    /// time out and report failure for a statement that succeeded.
     pub mutation_acks_lost: u64,
-    /// Routed mutations/appends re-delivered to this owner (duplicate
-    /// frames, origin-side retries) and suppressed by the idempotent
-    /// dedup cache: the cached ack was re-sent instead of re-applying.
+    /// Routed statements (mutations, appends and readmits) re-delivered
+    /// to this owner (duplicate frames, origin-side retries) and
+    /// suppressed by the idempotent dedup cache: the cached ack was
+    /// re-sent instead of re-applying.
     pub mutations_deduped: u64,
-    /// Routed Mutate/Append messages this origin re-sent because the
-    /// owner's acknowledgement did not arrive within the ack timeout
+    /// Routed Append/Mutate/Readmit messages this origin re-sent because
+    /// the owner's acknowledgement did not arrive within the ack timeout
     /// (or the send itself failed on a severed edge).
     pub retries: u64,
-    /// Routed Mutate/Append statements failed loudly at this origin
-    /// after the whole retry budget elapsed without an acknowledgement.
+    /// Routed Append/Mutate/Readmit statements failed loudly at this
+    /// origin after the whole retry budget elapsed without an
+    /// acknowledgement.
     pub timeouts: u64,
     /// Queries errored out (nonexistent BAT).
     pub query_errors: u64,

@@ -1,10 +1,11 @@
 //! Property tests for the ring message codec, covering the full `DcMsg`
 //! surface: the query-circulation path (`Bat`/`Request`), the framed
 //! mutation path (`Mutate`/`MutAck`/`Append`/`Catalog`), and the
-//! hot-set path (`Evict`/`Readmit`/`ReadmitAck`). Arbitrary messages
-//! round-trip byte-exactly, every strict prefix of a valid frame is
-//! rejected (never mis-decoded or panicked on), and hostile count/length
-//! prefixes neither panic nor provoke an unbounded allocation.
+//! hot-set path (`Evict`/`Readmit`, acknowledged by `MutAck`).
+//! Arbitrary messages round-trip byte-exactly, every strict prefix of a
+//! valid frame is rejected (never mis-decoded or panicked on), and
+//! hostile count/length prefixes neither panic nor provoke an unbounded
+//! allocation.
 //!
 //! Distributed query execution (§3) deliberately introduces no new wire
 //! message: registered queries ride the existing `Request` (interest)
@@ -16,8 +17,7 @@ use batstore::ops::CmpOp;
 use batstore::{ColType, RowPredicate, Val};
 use bytes::Bytes;
 use datacyclotron::msg::{
-    decode, encode, BatHeader, EvictMsg, MutAckMsg, MutOp, MutateMsg, ReadmitAckMsg, ReadmitMsg,
-    ReqMsg,
+    decode, encode, BatHeader, EvictMsg, MutAckMsg, MutOp, MutateMsg, ReadmitMsg, ReqMsg,
 };
 use datacyclotron::{AppendMsg, BatId, CatalogCol, CatalogMsg, DcMsg, NodeId};
 use proptest::prelude::*;
@@ -130,15 +130,6 @@ fn readmit_from(seed: i64) -> DcMsg {
     })
 }
 
-fn readmitack_from(seed: i64, text: &str) -> DcMsg {
-    DcMsg::ReadmitAck(ReadmitAckMsg {
-        target: NodeId(seed.unsigned_abs() as u16),
-        epoch: seed.unsigned_abs().wrapping_mul(19),
-        id: seed.unsigned_abs(),
-        result: if seed % 2 == 0 { Ok(seed.unsigned_abs() % 2) } else { Err(text.to_string()) },
-    })
-}
-
 fn bat_from(kind: u8, seed: i64, npayload: usize) -> DcMsg {
     // `Some(empty)` is canonicalized to `None` on decode, so a present
     // payload always carries at least one byte.
@@ -200,7 +191,6 @@ fn messages(kind: u8, seed: i64, text: &str, n1: usize, n2: usize) -> Vec<DcMsg>
         catalog_from(kind, seed, text, n1),
         evict_from(seed),
         readmit_from(seed),
-        readmitack_from(seed, text),
     ]
 }
 
@@ -308,17 +298,6 @@ proptest! {
         }));
         // tag(1) + target(2) + epoch(8) + id(8) + ok-flag(1) = 20 bytes
         // of header, then the u16 string length.
-        let mut bytes = wire.to_vec();
-        bytes[20..22].copy_from_slice(&claim.to_le_bytes());
-        prop_assert!(decode(&bytes).is_err());
-
-        // ReadmitAck Err-result: identical layout, independent decode arm.
-        let wire = encode(&DcMsg::ReadmitAck(ReadmitAckMsg {
-            target: NodeId(2),
-            epoch: 1,
-            id: 3,
-            result: Err("boom".into()),
-        }));
         let mut bytes = wire.to_vec();
         bytes[20..22].copy_from_slice(&claim.to_le_bytes());
         prop_assert!(decode(&bytes).is_err());

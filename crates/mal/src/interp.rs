@@ -17,44 +17,9 @@ use crate::modules::Registry;
 use crate::value::MVal;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Final variable environment after a successful run; index by `VarId`.
 pub type Env = Vec<Option<MVal>>;
-
-/// A reusable interpreter (registry + thread budget).
-pub struct Interpreter {
-    registry: Arc<Registry>,
-    pub threads: usize,
-}
-
-impl Default for Interpreter {
-    fn default() -> Self {
-        Interpreter::new()
-    }
-}
-
-impl Interpreter {
-    pub fn new() -> Self {
-        Interpreter { registry: Arc::new(Registry::standard()), threads: 4 }
-    }
-
-    pub fn with_registry(registry: Registry) -> Self {
-        Interpreter { registry: Arc::new(registry), threads: 4 }
-    }
-
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    pub fn run(&self, prog: &Program, ctx: &SessionCtx) -> Result<Env> {
-        run_dataflow_with(prog, ctx, &self.registry, self.threads)
-    }
-
-    pub fn run_seq(&self, prog: &Program, ctx: &SessionCtx) -> Result<Env> {
-        run_sequential_with(prog, ctx, &self.registry)
-    }
-}
 
 fn resolve_args(instr: &Instr, env: &[Option<MVal>], prog: &Program) -> Result<Vec<MVal>> {
     instr
@@ -304,6 +269,7 @@ mod tests {
     use crate::parser::{parse_program, PAPER_TABLE1};
     use batstore::{BatStore, Catalog, Column};
     use parking_lot::RwLock;
+    use std::sync::Arc;
 
     fn paper_ctx() -> SessionCtx {
         let mut catalog = Catalog::new();
@@ -409,15 +375,5 @@ mod tests {
         let prog = parse_program("function user.q():void;\nend q;").unwrap();
         let ctx = paper_ctx();
         assert!(run_dataflow(&prog, &ctx, 4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn interpreter_facade() {
-        let interp = Interpreter::new();
-        let prog = parse_program(PAPER_TABLE1).unwrap();
-        let ctx = paper_ctx();
-        interp.run(&prog, &ctx).unwrap();
-        assert!(ctx.take_output().contains("[ 3 ]"));
-        assert!(interp.registry().len() > 10);
     }
 }

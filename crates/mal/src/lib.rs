@@ -32,7 +32,7 @@ pub mod value;
 pub use ast::{Arg, Const, Instr, Program, VarId};
 pub use context::{DcHooks, LocalHooks, SessionCtx};
 pub use error::{MalError, Result};
-pub use interp::{run_dataflow, run_sequential, Interpreter};
+pub use interp::{run_dataflow, run_sequential};
 pub use optimizer::{
     common_subexpression_eliminate, dc_optimize, dead_code_eliminate, expression_key,
 };

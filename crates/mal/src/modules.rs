@@ -752,25 +752,6 @@ fn register_datacyclotron(r: &mut Registry) {
         ctx.hooks().unpin(ctx.query_id, ticket)?;
         Ok(vec![])
     });
-
-    // datacyclotron.joinplan(schema, ltab, lcol, rtab, rcol, strategy,
-    // est_bytes): planner annotation for one equi-join (shuffle vs.
-    // broadcast per the compile-time size estimates). Void-target and in
-    // an impure module, so CSE never merges it and DCE never drops it;
-    // the seam decides what (if anything) to do with it.
-    r.register("datacyclotron", "joinplan", |ctx, args| {
-        want(args, 7, "datacyclotron.joinplan")?;
-        let name = "datacyclotron.joinplan";
-        let schema = arg_str(args, 0, name)?;
-        let ltab = arg_str(args, 1, name)?;
-        let lcol = arg_str(args, 2, name)?;
-        let rtab = arg_str(args, 3, name)?;
-        let rcol = arg_str(args, 4, name)?;
-        let strategy = arg_str(args, 5, name)?;
-        let est = arg_int(args, 6, name)?.max(0) as u64;
-        ctx.hooks().join_plan(ctx.query_id, schema, ltab, lcol, rtab, rcol, strategy, est)?;
-        Ok(vec![])
-    });
 }
 
 #[cfg(test)]

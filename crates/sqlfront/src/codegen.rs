@@ -273,67 +273,8 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    /// Estimated resident bytes of one join column: catalog row count ×
-    /// the column type's in-memory width. The compile-time input to the
-    /// shuffle-vs-broadcast decision; the ring seam re-validates against
-    /// live gossiped fragment sizes when the plan runs.
-    fn column_bytes(&self, ti: usize, column: &str) -> Result<u64> {
-        let t = &self.tables[ti].tref;
-        let def = self.g.catalog.table(&t.schema, &t.table)?;
-        let width: u64 = match self.column_type(ti, column)? {
-            ColType::Bool => 1,
-            ColType::Int | ColType::Date => 4,
-            // Strings are heap values; 16 bytes is the planning estimate.
-            ColType::Str => 16,
-            ColType::Void | ColType::Oid | ColType::Lng | ColType::Dbl => 8,
-        };
-        Ok(def.row_count as u64 * width)
-    }
-
-    /// Annotate one equi-join with its distribution strategy, chosen per
-    /// Beame/Koutris/Suciu ("Communication Cost in Parallel Query
-    /// Processing"): over `p` nodes, broadcasting the smaller side moves
-    /// `p·min(|R|,|S|)` bytes while hash-shuffling both sides moves
-    /// `|R|+|S|`; take whichever is cheaper. The annotation is a
-    /// void-target `datacyclotron.joinplan` call — impure module, so CSE
-    /// and DCE leave it alone — that the execution seam turns into
-    /// co-located/routed classification and telemetry.
-    fn emit_join_plan(&mut self, li: usize, lcol: &str, ri: usize, rcol: &str) -> Result<()> {
-        // The planning ring size: the paper's deployment unit is a
-        // 3-node ring (our acceptance suite); the ring seam recomputes
-        // with the actual ring width at run time.
-        const PLANNED_RING_NODES: u64 = 3;
-        let lb = self.column_bytes(li, lcol)?;
-        let rb = self.column_bytes(ri, rcol)?;
-        let broadcast_cost = PLANNED_RING_NODES * lb.min(rb);
-        let shuffle_cost = lb + rb;
-        let (strategy, moved) = if broadcast_cost <= shuffle_cost {
-            ("broadcast", broadcast_cost)
-        } else {
-            ("shuffle", shuffle_cost)
-        };
-        let schema = self.tables[li].tref.schema.clone();
-        let ltab = self.tables[li].tref.table.clone();
-        let rtab = self.tables[ri].tref.table.clone();
-        self.g.emit_void(
-            "datacyclotron",
-            "joinplan",
-            vec![
-                Gen::cstr(&schema),
-                Gen::cstr(&ltab),
-                Gen::cstr(lcol),
-                Gen::cstr(&rtab),
-                Gen::cstr(rcol),
-                Gen::cstr(strategy),
-                Gen::cint(moved.min(i64::MAX as u64) as i64),
-            ],
-        );
-        Ok(())
-    }
-
     /// First join: `(oidL → oidR)` pairs, then row maps via markT/markH.
     fn first_join(&mut self, li: usize, lcol: &str, ri: usize, rcol: &str) -> Result<()> {
-        self.emit_join_plan(li, lcol, ri, rcol)?;
         let lb = self.bind(li, lcol)?;
         let lb = self.selected(li, lb);
         let rb = self.bind(ri, rcol)?;
@@ -356,7 +297,6 @@ impl<'a> Compiler<'a> {
     /// `joined.jcol = new.ncol`; renumbers the result space and composes
     /// all existing row maps.
     fn extend_join(&mut self, ji: usize, jcol: &str, ni: usize, ncol: &str) -> Result<()> {
-        self.emit_join_plan(ji, jcol, ni, ncol)?;
         let jmap = self.tables[ji].rowmap.expect("caller checked");
         let jb = self.bind(ji, jcol)?;
         // (res→val) for the joined side.

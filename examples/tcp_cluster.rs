@@ -95,8 +95,7 @@ fn main() {
                     | DcMsg::Mutate(_)
                     | DcMsg::MutAck(_)
                     | DcMsg::Evict(_)
-                    | DcMsg::Readmit(_)
-                    | DcMsg::ReadmitAck(_) => Vec::new(),
+                    | DcMsg::Readmit(_) => Vec::new(),
                 };
                 let mut loaded = Vec::new();
                 for e in effects {

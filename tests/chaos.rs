@@ -416,6 +416,81 @@ fn dropped_readmit_ack_readmits_exactly_once() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The origin side of a readmit that never gets through: node 1 pins a
+/// spilled `acct` fragment with both of its outbound edges severed, so
+/// neither its routed `Readmit` nor a plain request reaches the owner,
+/// and the readmit exhausts the retry budget while the pin waits. The
+/// timeout is counted like any routed statement's, but a readmit is not
+/// a write: neither failure counter moves. After the heal, the blocked
+/// query itself returns the exact rows.
+#[test]
+fn severed_readmit_times_out_without_failing_a_write() {
+    let dir = std::env::temp_dir().join(format!("dc_chaos_readmit_cut_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let ring = chaos_ring_with(0xD20A, FaultPlan::quiet, |i, opts| {
+        if i == 0 {
+            opts.data_dir = Some(DataDir::new(&dir).fsync(FsyncPolicy::Off));
+            opts.mem_budget = Some(1);
+        }
+    });
+    ring.setup_acct();
+    let rs = ring.nodes[0].execute("insert into acct values (1, 10), (2, 20)").unwrap();
+    assert_eq!(rs.affected, Some(2));
+
+    // Wait until node 1 has heard the owner's Evict for an `acct`
+    // fragment: only then does its pin route a Readmit.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let spilled: Vec<String> = ring.nodes[0]
+            .hotset()
+            .unwrap()
+            .rows
+            .iter()
+            .filter(|r| r.state == "spilled" && r.table == "sys.acct")
+            .map(|r| format!("{} spilled", r.bat))
+            .collect();
+        let heard = ring.nodes[1].obs().trace_events().iter().any(|e| {
+            e.event == "evict_seen" && spilled.iter().any(|s| e.detail.starts_with(s.as_str()))
+        });
+        if heard {
+            break;
+        }
+        assert!(Instant::now() < deadline, "node 1 never heard an acct eviction");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let base = ring.nodes[1].stats().unwrap();
+
+    ring.faults[1].sever(Edge::Data);
+    ring.faults[1].sever(Edge::Request);
+    let origin = Arc::clone(&ring.nodes[1]);
+    let blocked =
+        std::thread::spawn(move || origin.execute("select id, bal from acct order by id"));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let stats = ring.nodes[1].stats().unwrap();
+        if stats.readmits_routed > base.readmits_routed && stats.timeouts > base.timeouts {
+            assert_eq!(stats.mutations_failed, base.mutations_failed, "{stats:?}");
+            assert_eq!(stats.appends_failed, base.appends_failed, "{stats:?}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "readmit never routed and timed out: {stats:?}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+
+    ring.faults[1].heal(Edge::Data);
+    ring.faults[1].heal(Edge::Request);
+    let rs = blocked.join().unwrap().expect("the blocked query resolves after the heal");
+    let got: Vec<(Val, Val)> =
+        (0..rs.row_count()).map(|r| (rs.cell(r, 0), rs.cell(r, 1))).collect();
+    assert_eq!(got, [(Val::Int(1), Val::Int(10)), (Val::Int(2), Val::Int(20))]);
+    ring.await_rows(
+        "select id, bal from acct order by id",
+        &[(1, 10), (2, 20)],
+        Duration::from_secs(20),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A routed INSERT whose owner edge is severed fails loudly and shows
 /// up in `appends_failed` — the INSERT twin of `mutations_failed`, so
 /// failed routed appends are observable in [`datacyclotron::NodeStats`].

@@ -47,8 +47,7 @@ impl TestNode {
                 | DcMsg::Mutate(_)
                 | DcMsg::MutAck(_)
                 | DcMsg::Evict(_)
-                | DcMsg::Readmit(_)
-                | DcMsg::ReadmitAck(_) => Vec::new(),
+                | DcMsg::Readmit(_) => Vec::new(),
             };
             self.execute(effects, &mut out);
         }
